@@ -54,7 +54,10 @@ JsonObject::put(const std::string &key, const char *value)
 JsonObject &
 JsonObject::put(const std::string &key, const std::string &value)
 {
-    return putRaw(key, "\"" + harness::jsonEscape(value) + "\"");
+    std::string quoted = "\"";
+    quoted += harness::jsonEscape(value);
+    quoted += '"';
+    return putRaw(key, quoted);
 }
 
 JsonObject &

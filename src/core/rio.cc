@@ -88,7 +88,7 @@ RioSystem::openPage(Addr page)
     ++stats_.pageOpens;
     if (auto *audit = machine_.audit())
         audit->openWindow(page);
-    observeStep(RioProtocolObserver::Step::OpenPage, page);
+    machine_.emit(sim::EventKind::RioOpenPage, page);
     switch (options_.protection) {
       case os::ProtectionMode::Off:
         return; // No mechanism, no cost.
@@ -113,7 +113,7 @@ RioSystem::closePage(Addr page)
 {
     if (auto *audit = machine_.audit())
         audit->closeWindow(page);
-    observeStep(RioProtocolObserver::Step::ClosePage, page);
+    machine_.emit(sim::EventKind::RioClosePage, page);
     switch (options_.protection) {
       case os::ProtectionMode::Off:
         return;
@@ -151,8 +151,7 @@ void
 RioSystem::writeEntryField32(u64 index, u64 off, u32 value)
 {
     machine_.bus().store32(entryAddr(index) + off, value);
-    observeStep(RioProtocolObserver::Step::FieldWrite,
-                entryAddr(index) + off);
+    machine_.emit(sim::EventKind::RioFieldWrite, entryAddr(index) + off);
     nvMirror(entryAddr(index) + off, 4);
 }
 
@@ -160,8 +159,7 @@ void
 RioSystem::writeEntryField64(u64 index, u64 off, u64 value)
 {
     machine_.bus().store64(entryAddr(index) + off, value);
-    observeStep(RioProtocolObserver::Step::FieldWrite,
-                entryAddr(index) + off);
+    machine_.emit(sim::EventKind::RioFieldWrite, entryAddr(index) + off);
     nvMirror(entryAddr(index) + off, 8);
 }
 
@@ -344,7 +342,6 @@ RioSystem::install(Addr page, const os::CacheTag &tag)
     const Addr regPage = registryPageOf(index);
     openPage(regPage);
     writeEntryField32(index, L::kOffMagic, L::kMagic);
-    writeEntryField32(index, L::kOffState, L::kStateActive);
     writeEntryField64(index, L::kOffPhysAddr, page);
     writeEntryField32(index, L::kOffKind,
                       tag.kind == os::CacheKind::Metadata
@@ -358,6 +355,10 @@ RioSystem::install(Addr page, const os::CacheTag &tag)
     writeEntryField32(index, L::kOffDirty, 0);
     writeEntryField32(index, L::kOffChecksum, 0);
     writeEntryField64(index, L::kOffShadow, 0);
+    // Active last: a crash anywhere above must not leave an Active
+    // entry pairing the new page with the previous occupant's
+    // kind/dev/ino/offset.
+    writeEntryField32(index, L::kOffState, L::kStateActive);
     closePage(regPage);
 }
 
@@ -435,7 +436,7 @@ RioSystem::beginWrite(Addr page)
         // The NV copy of the shadow is the restore's last candidate
         // when both in-memory copies are gone (core/nvmirror.hh).
         nvMirror(shadow, sim::kPageSize);
-        observeStep(RioProtocolObserver::Step::ShadowCopy, shadow);
+        machine_.emit(sim::EventKind::RioShadowCopy, shadow);
     }
 
     const Addr regPage = registryPageOf(index);
@@ -473,10 +474,10 @@ RioSystem::endWrite(Addr page, u32 validBytes)
     writeEntryField32(index, L::kOffChecksum, checksum);
     writeEntryField64(index, L::kOffShadow, 0);
     // The atomic commit: the entry points back at the original. The
-    // observer fires *before* the flip so a modeled crash here lands
-    // in the pre-commit window (Changing entry, shadow already
+    // RioCommit event fires *before* the flip so a modeled crash here
+    // lands in the pre-commit window (Changing entry, shadow already
     // cleared) — the warm reboot must cope with exactly this state.
-    observeStep(RioProtocolObserver::Step::Commit, page);
+    machine_.emit(sim::EventKind::RioCommit, page);
     writeEntryField32(index, L::kOffState, L::kStateActive);
     closePage(regPage);
     if (shadow != 0)

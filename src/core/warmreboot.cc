@@ -71,13 +71,6 @@ WarmReboot::ckptSector() const
     return machine_.swap().numSectors() - 1;
 }
 
-void
-WarmReboot::probe(RecoveryPhase phase, u64 step, u64 total)
-{
-    if (probe_)
-        probe_(phase, step, total);
-}
-
 bool
 WarmReboot::readCheckpoint(Checkpoint &out, RecoveryReport &recovery)
 {
@@ -271,7 +264,7 @@ WarmReboot::dumpAndRestoreMetadata()
             u64 step = 0;
             bool failed = false;
             for (u64 written = 0; written < fullSectors; ++step) {
-                probe(RecoveryPhase::Dump, step, totalSteps);
+                emitStep(RecoveryPhase::Dump, step, totalSteps);
                 const u64 n = std::min(kDumpChunkSectors,
                                        fullSectors - written);
                 const os::IoOutcome put = track(
@@ -288,7 +281,7 @@ WarmReboot::dumpAndRestoreMetadata()
                 written += n;
             }
             if (!failed && tailBytes != 0) {
-                probe(RecoveryPhase::Dump, step, totalSteps);
+                emitStep(RecoveryPhase::Dump, step, totalSteps);
                 std::vector<u8> pad(sim::kSectorSize, 0);
                 std::copy(image.end() - tailBytes, image.end(),
                           pad.begin());
@@ -311,7 +304,7 @@ WarmReboot::dumpAndRestoreMetadata()
                 writeCheckpoint(report.recovery);
                 ckptActive_ = true;
             }
-            probe(RecoveryPhase::Dump, totalSteps, totalSteps);
+            emitStep(RecoveryPhase::Dump, totalSteps, totalSteps);
         }
         dump_.assign(image.begin(), image.end());
     }
@@ -369,7 +362,7 @@ WarmReboot::dumpAndRestoreMetadata()
     }
     for (u64 k = metaDone ? totalMeta : firstMeta; k < totalMeta;
          ++k) {
-        probe(RecoveryPhase::MetadataRestore, k, totalMeta);
+        emitStep(RecoveryPhase::MetadataRestore, k, totalMeta);
         const RegistryEntry &entry = *metaEntries[k];
         // Processed-entry accounting: every branch below (including
         // the rejecting ones) advances the checkpoint — the decision
@@ -537,7 +530,7 @@ WarmReboot::dumpAndRestoreMetadata()
         if (ckptActive_)
             writeCheckpoint(report.recovery);
     }
-    probe(RecoveryPhase::MetadataRestore, totalMeta, totalMeta);
+    emitStep(RecoveryPhase::MetadataRestore, totalMeta, totalMeta);
     return report;
 }
 
@@ -579,7 +572,7 @@ WarmReboot::restoreData(os::Vfs &vfs, WarmRebootReport &report)
     }
     std::vector<u8> page(sim::kPageSize, 0);
     for (u64 i = first; i < total; ++i) {
-        probe(RecoveryPhase::DataRestore, i, total);
+        emitStep(RecoveryPhase::DataRestore, i, total);
         const RegistryEntry *entry = dataEntries[i];
         // The checkpoint advances (and the rebuilt file is pushed to
         // the platter) at file boundaries, so a crash mid-file redoes
@@ -644,14 +637,14 @@ WarmReboot::restoreData(os::Vfs &vfs, WarmRebootReport &report)
         report.dataBytesRestored += entry->size;
         advance();
     }
-    probe(RecoveryPhase::DataRestore, total, total);
+    emitStep(RecoveryPhase::DataRestore, total, total);
     if (ckptActive_) {
         // Retire the checkpoint: the next crash gets a fresh pass.
         ckpt_.flags |= kFlagAllDone;
         ckpt_.dataProcessed = total;
         writeCheckpoint(report.recovery);
     }
-    probe(RecoveryPhase::Done, 0, 1);
+    emitStep(RecoveryPhase::Done, 0, 1);
 }
 
 } // namespace rio::core

@@ -253,14 +253,48 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
     // seed so a JSONL record replays identically.
     support::Rng doubleCrashRng(
         mix64(seed ^ 0x44626c43727368ull)); // "DblCrsh"
-    bool doubleCrashArmed = isRio(kind) &&
-                            config_.doubleCrashRate > 0.0 &&
-                            doubleCrashRng.chance(
-                                config_.doubleCrashRate);
+    const bool doubleCrashArmed =
+        isRio(kind) && config_.doubleCrashRate > 0.0 &&
+        doubleCrashRng.chance(config_.doubleCrashRate);
     const u32 doubleCrashPhase =
         static_cast<u32>(doubleCrashRng.below(4));
     const double doubleCrashFraction =
         static_cast<double>(doubleCrashRng.below(1000)) / 1000.0;
+    // The trigger: the first recovery step of the drawn phase at or
+    // past the drawn fraction of its steps. It detaches itself as it
+    // fires, so later passes run unobserved.
+    struct DoubleCrash final : sim::EventSink
+    {
+        sim::Machine &machine;
+        sim::EventKind kind;
+        double fraction;
+        bool fired = false;
+
+        DoubleCrash(sim::Machine &m, u32 phase, double f)
+            : machine(m),
+              kind(core::recoveryEventKind(
+                  static_cast<core::RecoveryPhase>(phase))),
+              fraction(f)
+        {
+        }
+
+        void
+        onEvent(const sim::Event &event) override
+        {
+            if (event.kind != kind ||
+                event.addr < static_cast<u64>(
+                                 fraction *
+                                 static_cast<double>(event.detail)))
+                return;
+            fired = true;
+            machine.setEventSink(nullptr);
+            machine.crash(sim::CrashCause::KernelPanic,
+                          "double crash: second failure during "
+                          "recovery");
+        }
+    } doubleCrash(machine, doubleCrashPhase, doubleCrashFraction);
+    if (doubleCrashArmed)
+        machine.setEventSink(&doubleCrash);
 
     // --- Recovery, re-run to convergence. --------------------------
     // A pass that crashes (the injected double crash, or a kernel
@@ -275,25 +309,6 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
         ++result.recoveryPasses;
         core::WarmReboot warmReboot(machine, policy);
         warmReboot.setIoPolicy(kernelConfig.ioRetry);
-        if (doubleCrashArmed) {
-            warmReboot.setProbe([&](core::RecoveryPhase phase,
-                                    u64 step, u64 total) {
-                if (!doubleCrashArmed ||
-                    static_cast<u32>(phase) != doubleCrashPhase)
-                    return;
-                const u64 trigger = static_cast<u64>(
-                    doubleCrashFraction *
-                    static_cast<double>(total));
-                if (step < trigger)
-                    return;
-                doubleCrashArmed = false;
-                result.doubleCrashFired = true;
-                result.doubleCrashPhase = static_cast<u32>(phase);
-                machine.crash(
-                    sim::CrashCause::KernelPanic,
-                    "double crash: second failure during recovery");
-            });
-        }
         try {
             if (isRio(kind)) {
                 result.warm = warmReboot.dumpAndRestoreMetadata();
@@ -336,6 +351,11 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
             rebooted.reset();
             machine.reset(sim::ResetKind::Warm);
         }
+    }
+    machine.setEventSink(nullptr);
+    if (doubleCrash.fired) {
+        result.doubleCrashFired = true;
+        result.doubleCrashPhase = doubleCrashPhase;
     }
 
     if (rebooted != nullptr) {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 
 #include "core/rio.hh"
@@ -141,19 +142,36 @@ mcMachineConfig(u64 seed)
     return config;
 }
 
+/** EventKind -> crashmc event class, in EventKind order; kMcNoClass
+ *  for the kinds crashmc does not enumerate (journal replay and
+ *  warm-reboot steps run in recovery, outside the armed window). */
+constexpr auto kMcNoClass = static_cast<McEventClass>(kMcNumEventClasses);
+constexpr McEventClass kMcClassOfKind[] = {
+    McEventClass::BusStore,          // BusStore
+    McEventClass::DiskFlush,         // DiskWrite
+    McEventClass::NvMirrorWrite,     // NvWrite
+    McEventClass::ProtoOpen,         // RioOpenPage
+    McEventClass::ProtoClose,        // RioClosePage
+    McEventClass::ProtoShadowCopy,   // RioShadowCopy
+    McEventClass::ProtoFieldWrite,   // RioFieldWrite
+    McEventClass::ProtoCommit,       // RioCommit
+    McEventClass::JournalCommit,     // JournalTxCommit
+    McEventClass::JournalCheckpoint, // JournalCheckpointWrite
+    McEventClass::JournalCheckpoint, // JournalCheckpointAdvance
+    kMcNoClass, kMcNoClass, kMcNoClass, kMcNoClass, // Replay*
+    kMcNoClass, kMcNoClass, kMcNoClass, kMcNoClass, // Recovery*
+};
+static_assert(std::size(kMcClassOfKind) == sim::kNumEventKinds);
+
 /**
- * The recording/crashing surface: one object implements all three
- * observer interfaces. In record mode (trace != nullptr) it appends
- * every masked event to the trace; in replay mode it counts and
- * crashes the machine exactly at event crashAt. Neither mode
- * advances simulated time or touches simulated state, which is what
- * keeps event k on the same instruction across runs.
+ * The recording/crashing surface: the machine's event sink. In
+ * record mode (trace != nullptr) it appends every masked event to
+ * the trace; in replay mode it counts and crashes the machine
+ * exactly at event crashAt. Neither mode advances simulated time or
+ * touches simulated state, which is what keeps event k on the same
+ * instruction across runs.
  */
-class McObserver final : public sim::StoreObserver,
-                         public sim::DiskWriteObserver,
-                         public sim::NvWriteObserver,
-                         public core::RioProtocolObserver,
-                         public os::JournalObserver
+class McObserver final : public sim::EventSink
 {
   public:
     McObserver(sim::Machine &machine, u32 classMask, u64 crashAt,
@@ -180,64 +198,18 @@ class McObserver final : public sim::StoreObserver,
     bool fired() const { return fired_; }
 
     void
-    onCheckedStore(Addr pa, u64 len) override
+    onEvent(const sim::Event &event) override
     {
-        (void)len;
-        if (!tracked(pa))
+        const McEventClass cls =
+            kMcClassOfKind[static_cast<u32>(event.kind)];
+        if (cls == kMcNoClass)
             return;
-        note(McEventClass::BusStore, pa);
-    }
-
-    void
-    onDiskWrite(SectorNo start, u64 count) override
-    {
-        (void)count;
-        note(McEventClass::DiskFlush, start);
-    }
-
-    void
-    onNvWrite(u64 offset, u64 len) override
-    {
-        (void)len;
-        note(McEventClass::NvMirrorWrite, offset);
-    }
-
-    void
-    onJournalStep(os::JournalObserver::Step step, u64 seq) override
-    {
-        switch (step) {
-          case os::JournalObserver::Step::TxCommit:
-            note(McEventClass::JournalCommit, seq);
+        // Only stores into the registry and the file-cache pools are
+        // crash points worth enumerating.
+        if (event.kind == sim::EventKind::BusStore &&
+            !tracked(event.addr))
             return;
-          case os::JournalObserver::Step::CheckpointWrite:
-          case os::JournalObserver::Step::CheckpointAdvance:
-            note(McEventClass::JournalCheckpoint, seq);
-            return;
-        }
-    }
-
-    void
-    onProtocolStep(core::RioProtocolObserver::Step step,
-                   Addr addr) override
-    {
-        using PStep = core::RioProtocolObserver::Step;
-        switch (step) {
-          case PStep::OpenPage:
-            note(McEventClass::ProtoOpen, addr);
-            return;
-          case PStep::ClosePage:
-            note(McEventClass::ProtoClose, addr);
-            return;
-          case PStep::ShadowCopy:
-            note(McEventClass::ProtoShadowCopy, addr);
-            return;
-          case PStep::FieldWrite:
-            note(McEventClass::ProtoFieldWrite, addr);
-            return;
-          case PStep::Commit:
-            note(McEventClass::ProtoCommit, addr);
-            return;
-        }
+        note(cls, event.addr);
     }
 
   private:
@@ -395,14 +367,7 @@ runReplay(const CrashMcConfig &config, McWorkloadKind kind,
 
     McObserver observer(machine, mcWorkloadClassMask(kind), crashAt,
                         trace);
-    machine.bus().setStoreObserver(&observer);
-    machine.disk().setWriteObserver(&observer);
-    if (machine.nv() != nullptr)
-        machine.nv()->setWriteObserver(&observer);
-    if (rio)
-        rio->setProtocolObserver(&observer);
-    if (isExt3)
-        kernel->journal().setObserver(&observer);
+    machine.setEventSink(&observer);
     observer.arm();
 
     wl::Scheduler scheduler;
@@ -417,14 +382,7 @@ runReplay(const CrashMcConfig &config, McWorkloadKind kind,
         rec.crashed = true;
     }
     observer.disarm();
-    machine.bus().setStoreObserver(nullptr);
-    machine.disk().setWriteObserver(nullptr);
-    if (machine.nv() != nullptr)
-        machine.nv()->setWriteObserver(nullptr);
-    if (rio)
-        rio->setProtocolObserver(nullptr);
-    if (isExt3)
-        kernel->journal().setObserver(nullptr);
+    machine.setEventSink(nullptr);
 
     rec.opsCompleted = memtest.opsCompleted();
 

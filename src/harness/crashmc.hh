@@ -6,21 +6,26 @@
  * hole that requires crashing at one specific store or flush
  * boundary can survive thousands of trials. crashmc closes that gap
  * at small scale: it runs a bounded deterministic workload once,
- * recording every crash-relevant event —
+ * recording every crash-relevant event. Its recorder is the
+ * machine's one sim::EventSink (sim/event.hh); a table maps each
+ * sim::EventKind to the McEventClass it enumerates as —
  *
  *   - BusStore:    a checked store landing in the registry or a
- *                  file-cache pool (MemBus store observer),
+ *                  file-cache pool (EventKind::BusStore),
  *   - ProtoOpen / ProtoClose / ProtoShadowCopy / ProtoFieldWrite /
- *     ProtoCommit: the shadow-page protocol steps (RioSystem
- *                  protocol observer; Commit fires pre-flip),
- *   - DiskFlush:   a write reaching the platter (Disk observer) —
+ *     ProtoCommit: the shadow-page protocol steps (EventKind::Rio*;
+ *                  Commit fires pre-flip),
+ *   - DiskFlush:   a write reaching the platter (EventKind::DiskWrite),
+ *   - NvMirrorWrite: bytes landing in the NV region (NvWrite),
+ *   - JournalCommit / JournalCheckpoint: ext3 protocol steps
+ *                  (EventKind::Journal*) —
  *
  * then replays the workload once per event, crashing exactly at
  * event k, running the full recovery pipeline (hardened warm reboot,
  * fsck, user-level data restore), and judging the result with the
  * shared host-side oracle (harness/oracle.hh) plus memTest's replay
  * comparison. Because record and replay use identical seeds and the
- * observers never advance simulated time, event k lands on the same
+ * sink never advances simulated time, event k lands on the same
  * instruction in every run — "every crash point in workload W
  * recovers" becomes a checked statement, not a sampled estimate.
  *
@@ -31,9 +36,9 @@
  * only), and the three ext3-grade journal modes JournalWriteback /
  * JournalOrdered / JournalData, which additionally enumerate every
  * transaction-commit and checkpoint boundary (JournalCommit /
- * JournalCheckpoint events, fired by the journal's observer hook
- * just *before* the staged log writes go out — the most exposed
- * instant of each protocol step). Points are independent, so runAll
+ * JournalCheckpoint events, emitted by the journal just *before*
+ * the staged log writes go out — the most exposed instant of each
+ * protocol step). Points are independent, so runAll
  * fans them out over a WorkerPool and merges by event index; any
  * failing point serializes to a minimal repro record (workload,
  * event index, seed) that tests/test_crashmc_corpus.cc replays as an

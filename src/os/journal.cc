@@ -250,10 +250,7 @@ Journal::txCommit()
         ++lostTx_;
         degradeNow();
     } else {
-        if (observer_ != nullptr) {
-            observer_->onJournalStep(JournalObserver::Step::TxCommit,
-                                     nextSeq_);
-        }
+        machine_.emit(sim::EventKind::JournalTxCommit, nextSeq_);
         staging_.assign(static_cast<size_t>(need) * Ufs::kBlockSize,
                         0);
         const std::span<u8> desc =
@@ -347,10 +344,7 @@ Journal::checkpoint()
     procs_.enter(ProcId::DiskStrategy);
     bool ok = true;
     for (const auto &[home, image] : checkpointMap_) {
-        if (observer_ != nullptr) {
-            observer_->onJournalStep(
-                JournalObserver::Step::CheckpointWrite, home);
-        }
+        machine_.emit(sim::EventKind::JournalCheckpointWrite, home);
         const IoOutcome put = retryWrite(
             *disk_,
             static_cast<SectorNo>(home) * sim::kSectorsPerBlock,
@@ -370,10 +364,7 @@ Journal::checkpoint()
     headSeq_ = nextSeq_;
     usedSlots_ = 0;
     commitsSinceCkpt_ = 0;
-    if (observer_ != nullptr) {
-        observer_->onJournalStep(
-            JournalObserver::Step::CheckpointAdvance, headSeq_);
-    }
+    machine_.emit(sim::EventKind::JournalCheckpointAdvance, headSeq_);
     writeJsb();
     ++checkpointsDone_;
 }
@@ -536,7 +527,7 @@ Journal::legacyAppend(DevNo dev, BlockNo block, Addr pageAddr)
 
 u64
 Journal::replay(sim::Disk &disk, sim::SimClock &clock,
-                const IoRetryPolicy &policy, JournalReplayProbe *probe,
+                const IoRetryPolicy &policy, sim::EventSink *sink,
                 JournalReplayStats *stats)
 {
     // Read the superblock to find the log area. An unreadable
@@ -561,7 +552,7 @@ Journal::replay(sim::Disk &disk, sim::SimClock &clock,
     if (got.ok() &&
         parseJsb(jsb, flags, headSeq, headSlot, dataSlots) &&
         dataSlots == logBlocks - 1) {
-        return replayExt3(disk, clock, policy, logStart, jsb, probe,
+        return replayExt3(disk, clock, policy, logStart, jsb, sink,
                           stats);
     }
     return replayLegacy(disk, clock, policy, logStart, logBlocks);
@@ -571,7 +562,7 @@ u64
 Journal::replayExt3(sim::Disk &disk, sim::SimClock &clock,
                     const IoRetryPolicy &policy, u32 logStart,
                     const std::vector<u8> &jsb,
-                    JournalReplayProbe *probe,
+                    sim::EventSink *sink,
                     JournalReplayStats *stats)
 {
     u32 flags = 0, headSlot = 0, dataSlots = 0;
@@ -665,10 +656,7 @@ Journal::replayExt3(sim::Disk &disk, sim::SimClock &clock,
         ++expect;
         walked += count + 2;
     }
-    if (probe != nullptr) {
-        probe->onReplayPhase(JournalReplayProbe::Phase::ScanDone,
-                             txs.size());
-    }
+    sim::emit(sink, sim::EventKind::ReplayScanDone, txs.size());
 
     // Apply: pure idempotent block writes, in commit order. A crash
     // anywhere in here leaves the JSB untouched, so the next replay
@@ -676,11 +664,7 @@ Journal::replayExt3(sim::Disk &disk, sim::SimClock &clock,
     u64 applied = 0;
     for (const StagedTx &tx : txs) {
         for (const StagedBlock &block : tx.blocks) {
-            if (probe != nullptr) {
-                probe->onReplayPhase(
-                    JournalReplayProbe::Phase::ApplyBlock,
-                    block.home);
-            }
+            sim::emit(sink, sim::EventKind::ReplayApplyBlock, block.home);
             const IoOutcome put = retryWrite(
                 disk,
                 static_cast<SectorNo>(block.home) *
@@ -695,20 +679,14 @@ Journal::replayExt3(sim::Disk &disk, sim::SimClock &clock,
         }
     }
     disk.drain(clock);
-    if (probe != nullptr) {
-        probe->onReplayPhase(JournalReplayProbe::Phase::ApplyDone,
-                             applied);
-    }
+    sim::emit(sink, sim::EventKind::ReplayApplyDone, applied);
 
     // Advance the head past what was applied (checkpoint-of-replay).
     // Only after the applies drained — crash before this write and
     // the old JSB replays everything again; crash during it and the
     // superblock checksum rejects the tear, with the same result.
     if (!txs.empty()) {
-        if (probe != nullptr) {
-            probe->onReplayPhase(
-                JournalReplayProbe::Phase::JsbAdvance, expect);
-        }
+        sim::emit(sink, sim::EventKind::ReplayJsbAdvance, expect);
         std::vector<u8> out(Ufs::kBlockSize, 0);
         support::storeLE<u32>(out, 0, kJsbMagic);
         support::storeLE<u32>(out, kJsbFlags, flags);

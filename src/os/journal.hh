@@ -45,35 +45,6 @@
 namespace rio::os
 {
 
-/** Crash-relevant journal protocol steps, for the model checker. */
-class JournalObserver
-{
-  public:
-    enum class Step : u8
-    {
-        TxCommit,          ///< Commit record about to be queued.
-        CheckpointWrite,   ///< One home-location write about to issue.
-        CheckpointAdvance, ///< Log head about to advance (JSB write).
-    };
-    virtual ~JournalObserver() = default;
-    virtual void onJournalStep(Step step, u64 detail) = 0;
-};
-
-/** Phase probe for replay re-entrancy tests (crash mid-replay). */
-class JournalReplayProbe
-{
-  public:
-    enum class Phase : u8
-    {
-        ScanDone,   ///< Transactions staged, nothing applied yet.
-        ApplyBlock, ///< One home write about to issue (detail=block).
-        ApplyDone,  ///< All home writes issued and drained.
-        JsbAdvance, ///< Journal superblock about to advance.
-    };
-    virtual ~JournalReplayProbe() = default;
-    virtual void onReplayPhase(Phase phase, u64 detail) = 0;
-};
-
 /** What replay found and did (ext3 engine; legacy fills applied). */
 struct JournalReplayStats
 {
@@ -155,11 +126,6 @@ class Journal : public JournalSink
         orderedFlush_ = std::move(flush);
     }
 
-    void setObserver(JournalObserver *observer)
-    {
-        observer_ = observer;
-    }
-
     /** Legacy: records appended. ext3: block images logged. */
     u64 recordsWritten() const
     {
@@ -179,12 +145,13 @@ class Journal : public JournalSink
     /**
      * Boot-time recovery, format auto-detected: a valid ext3 journal
      * superblock routes to the transaction walk; anything else falls
-     * back to the legacy record scan.
+     * back to the legacy record scan. The ext3 walk reports its
+     * phases (EventKind::Replay*) to @p sink.
      * @return Number of block images applied.
      */
     static u64 replay(sim::Disk &disk, sim::SimClock &clock,
                       const IoRetryPolicy &policy = {},
-                      JournalReplayProbe *probe = nullptr,
+                      sim::EventSink *sink = nullptr,
                       JournalReplayStats *stats = nullptr);
 
   private:
@@ -214,7 +181,7 @@ class Journal : public JournalSink
     static u64 replayExt3(sim::Disk &disk, sim::SimClock &clock,
                           const IoRetryPolicy &policy, u32 logStart,
                           const std::vector<u8> &jsb,
-                          JournalReplayProbe *probe,
+                          sim::EventSink *sink,
                           JournalReplayStats *stats);
     static u64 replayLegacy(sim::Disk &disk, sim::SimClock &clock,
                             const IoRetryPolicy &policy, u32 logStart,
@@ -264,7 +231,6 @@ class Journal : public JournalSink
     bool degraded_ = false;
     std::function<void()> degrade_;
     std::function<void()> orderedFlush_;
-    JournalObserver *observer_ = nullptr;
     /** @} */
 };
 

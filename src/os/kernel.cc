@@ -88,7 +88,7 @@ Kernel::boot(CacheGuard *guard, bool format)
         if (config_.fs == FsKind::Journal) {
             journalReplayed_ =
                 Journal::replay(disk, machine_.clock(),
-                                config_.ioRetry);
+                                config_.ioRetry, machine_.eventSink());
         }
         fsck_ = runFsck(disk, machine_.clock(), true, config_.ioRetry);
     }

@@ -81,7 +81,7 @@ joinPath(const std::vector<std::string> &parts, std::size_t count)
         out += parts[i];
     }
     if (out.empty())
-        out = "/";
+        out += '/';
     return out;
 }
 

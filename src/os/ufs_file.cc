@@ -130,7 +130,8 @@ Ufs::truncate(InodeNo ino, u64 newSize)
 }
 
 u32
-Ufs::fillPage(DevNo dev, InodeNo ino, u64 pageIdx, Addr pagePhys)
+Ufs::fillPage([[maybe_unused]] DevNo dev, InodeNo ino, u64 pageIdx,
+              Addr pagePhys)
 {
     assert(dev == dev_);
     auto inodeRes = iget(ino);
@@ -197,8 +198,8 @@ Ufs::fillPage(DevNo dev, InodeNo ino, u64 pageIdx, Addr pagePhys)
 }
 
 void
-Ufs::spillPage(DevNo dev, InodeNo ino, u64 pageIdx, Addr pagePhys,
-               u32 validBytes, bool sync)
+Ufs::spillPage([[maybe_unused]] DevNo dev, InodeNo ino, u64 pageIdx,
+               Addr pagePhys, u32 validBytes, bool sync)
 {
     assert(dev == dev_);
     (void)validBytes;

@@ -170,8 +170,7 @@ Disk::write(SectorNo start, u64 count, std::span<const u8> data,
         return status;
     std::memcpy(store_.data() + start * kSectorSize, data.data(),
                 count * kSectorSize);
-    if (writeObserver_ != nullptr)
-        writeObserver_->onDiskWrite(start, count);
+    emit(sink_, EventKind::DiskWrite, start, count);
     return DiskStatus::Ok;
 }
 
@@ -231,8 +230,7 @@ Disk::apply(const Pending &pending)
                 pending.data.data(), count * kSectorSize);
     ++stats_.writes;
     stats_.sectorsWritten += count;
-    if (writeObserver_ != nullptr)
-        writeObserver_->onDiskWrite(pending.start, count);
+    emit(sink_, EventKind::DiskWrite, pending.start, count);
 }
 
 void

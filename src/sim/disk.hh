@@ -28,6 +28,7 @@
 
 #include "sim/clock.hh"
 #include "sim/config.hh"
+#include "sim/event.hh"
 #include "support/rng.hh"
 #include "support/types.hh"
 
@@ -78,24 +79,6 @@ class DiskFaultSurface
     virtual void onCrash(Disk &disk, SimNs when) = 0;
 };
 
-/**
- * Passive observer of every write that reaches the platter, fired
- * *after* the sectors are durable — both for synchronous writes and
- * when a queued asynchronous write completes under poll(). This is
- * the flush-boundary recording surface for the crash-point model
- * checker (harness/crashmc). Plain pointer, one branch, zero cost
- * when unset. Torn writes applied during crashDropQueue() do not
- * fire (the crash is already in progress at that point).
- */
-class DiskWriteObserver
-{
-  public:
-    virtual ~DiskWriteObserver() = default;
-
-    /** Sectors @p start..start+count are now on the platter. */
-    virtual void onDiskWrite(SectorNo start, u64 count) = 0;
-};
-
 struct DiskStats
 {
     u64 reads = 0;
@@ -118,6 +101,8 @@ struct DiskStats
 
 class Disk
 {
+    friend class Machine;
+
   public:
     Disk(u64 bytes, const CostModel &costs, support::Rng rng);
 
@@ -169,13 +154,6 @@ class Disk
 
     /** Install (or clear, with nullptr) the fault surface. Non-owning. */
     void setFaultSurface(DiskFaultSurface *surface) { faults_ = surface; }
-
-    /** Attach/detach the write observer (harness/crashmc). Non-owning. */
-    void setWriteObserver(DiskWriteObserver *observer)
-    {
-        writeObserver_ = observer;
-    }
-    DiskWriteObserver *writeObserver() { return writeObserver_; }
 
     /** @name Bad-sector map (persistent across simulated reboots). */
     ///@{
@@ -230,7 +208,9 @@ class Disk
     std::deque<Pending> queue_;
     DiskStats stats_;
     DiskFaultSurface *faults_ = nullptr;
-    DiskWriteObserver *writeObserver_ = nullptr;
+    /** DiskWrite events; set only by Machine::setEventSink (the data
+     *  disk only: swap traffic is recovery's own). */
+    EventSink *sink_ = nullptr;
     std::unordered_set<SectorNo> badSectors_;
     u64 spareSectors_ = 0;
 };

@@ -53,6 +53,16 @@ Machine::enableStoreAudit()
 }
 
 void
+Machine::setEventSink(EventSink *sink)
+{
+    sink_ = sink;
+    bus_.sink_ = sink;
+    disk_.sink_ = sink;
+    if (nv_)
+        nv_->sink_ = sink;
+}
+
+void
 Machine::crash(CrashCause cause, const std::string &msg)
 {
     noteCrash(clock_.now());

@@ -23,6 +23,7 @@
 #include "sim/cpu.hh"
 #include "sim/crash.hh"
 #include "sim/disk.hh"
+#include "sim/event.hh"
 #include "sim/membus.hh"
 #include "sim/nvregion.hh"
 #include "sim/pagetable.hh"
@@ -75,6 +76,23 @@ class Machine
     StoreAudit &enableStoreAudit();
 
     /**
+     * The single event slot (sim/event.hh): every crash-relevant step
+     * — bus stores, data-disk and NV writes, and the Rio, journal and
+     * warm-reboot protocol steps emitted through this machine — goes
+     * to @p sink. Non-owning; nullptr detaches. The slot survives
+     * crash and reset: detach before the sink goes away.
+     */
+    void setEventSink(EventSink *sink);
+    EventSink *eventSink() const { return sink_; }
+
+    /** Report one protocol step to the attached sink, if any. */
+    void
+    emit(EventKind kind, u64 addr, u64 detail = 0) const
+    {
+        sim::emit(sink_, kind, addr, detail);
+    }
+
+    /**
      * Crash the machine: apply disk-queue loss/tearing and raise the
      * exception that unwinds to the harness.
      */
@@ -107,6 +125,7 @@ class Machine
     Disk swap_;
     std::unique_ptr<NvRegion> nv_;
     std::unique_ptr<StoreAudit> audit_;
+    EventSink *sink_ = nullptr;
     bool crashed_ = false;
     u64 crashCount_ = 0;
     u64 lostQueuedWrites_ = 0;

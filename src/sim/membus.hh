@@ -29,6 +29,7 @@
 #include "sim/config.hh"
 #include "sim/cpu.hh"
 #include "sim/crash.hh"
+#include "sim/event.hh"
 #include "sim/pagetable.hh"
 #include "sim/physmem.hh"
 #include "sim/tlb.hh"
@@ -38,27 +39,6 @@ namespace rio::sim
 {
 
 class StoreAudit;
-
-/**
- * Passive observer of every checked store that lands in physical
- * memory, called *after* the bytes are written (so the observer sees
- * the post-store machine state). This is the recording surface the
- * crash-point model checker (harness/crashmc) enumerates: an observer
- * that wants to model "crash immediately after store k" throws from
- * the callback via Machine::crash.
- *
- * The hook is deliberately a plain pointer guarded by one branch —
- * zero cost when unset — and is independent of the StoreAudit: both
- * may be attached at once and both see every store.
- */
-class StoreObserver
-{
-  public:
-    virtual ~StoreObserver() = default;
-
-    /** @p pa..pa+len landed in physical memory via the checked path. */
-    virtual void onCheckedStore(Addr pa, u64 len) = 0;
-};
 
 /**
  * Hook implemented by rio::core::Protection. Supplies the
@@ -95,6 +75,8 @@ struct BusStats
 
 class MemBus
 {
+    friend class Machine;
+
   public:
     MemBus(PhysMem &mem, PageTable &pt, Tlb &tlb, Cpu &cpu,
            SimClock &clock, const CostModel &costs);
@@ -181,13 +163,6 @@ class MemBus
     void setAudit(StoreAudit *audit) { audit_ = audit; }
     StoreAudit *audit() { return audit_; }
 
-    /** Attach/detach the store observer (harness/crashmc). */
-    void setStoreObserver(StoreObserver *observer)
-    {
-        observer_ = observer;
-    }
-    StoreObserver *storeObserver() { return observer_; }
-
     const BusStats &stats() const { return stats_; }
     void resetStats() { stats_ = BusStats{}; }
 
@@ -203,12 +178,11 @@ class MemBus
     void patchCheck(Addr pa, u64 store_count);
     void auditStore(Addr pa, u64 len);
 
-    /** Post-store observer dispatch; zero-cost when unset. */
+    /** Post-store BusStore event: the sink sees the stored bytes. */
     void
     observeStore(Addr pa, u64 len)
     {
-        if (observer_)
-            observer_->onCheckedStore(pa, len);
+        emit(sink_, EventKind::BusStore, pa, len);
     }
 
     PhysMem &mem_;
@@ -219,7 +193,8 @@ class MemBus
     const CostModel &costs_;
     ProtectionPolicy *policy_ = nullptr;
     StoreAudit *audit_ = nullptr;
-    StoreObserver *observer_ = nullptr;
+    /** Set only by Machine::setEventSink. */
+    EventSink *sink_ = nullptr;
     bool codePatching_ = false;
     BusStats stats_;
 

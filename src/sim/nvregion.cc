@@ -51,8 +51,8 @@ NvRegion::write(u64 offset, std::span<const u8> data, SimClock &clock)
     ++stats_.writes;
     stats_.bytesWritten += data.size();
     noteLines(offset, data.size());
-    if (writeObserver_ != nullptr && !data.empty())
-        writeObserver_->onNvWrite(offset, data.size());
+    if (!data.empty())
+        emit(sink_, EventKind::NvWrite, offset, data.size());
 }
 
 void

@@ -27,6 +27,7 @@
 
 #include "sim/clock.hh"
 #include "sim/config.hh"
+#include "sim/event.hh"
 #include "support/types.hh"
 
 namespace rio::sim
@@ -62,21 +63,6 @@ class NvFaultSurface
     virtual void onCrash(NvRegion &nv, SimNs when) = 0;
 };
 
-/**
- * Passive observer of every NV write, fired after the bytes land.
- * This is the NV-mirror recording surface for the crash-point model
- * checker (harness/crashmc). Plain pointer, one branch, zero cost
- * when unset.
- */
-class NvWriteObserver
-{
-  public:
-    virtual ~NvWriteObserver() = default;
-
-    /** Bytes @p offset..offset+len are now in the NV region. */
-    virtual void onNvWrite(u64 offset, u64 len) = 0;
-};
-
 struct NvStats
 {
     u64 reads = 0;
@@ -89,6 +75,8 @@ struct NvStats
 
 class NvRegion
 {
+    friend class Machine;
+
   public:
     NvRegion(u64 bytes, const CostModel &costs);
 
@@ -114,13 +102,6 @@ class NvRegion
     /** Install (or clear, with nullptr) the fault surface. Non-owning. */
     void setFaultSurface(NvFaultSurface *surface) { faults_ = surface; }
 
-    /** Attach/detach the write observer (harness/crashmc). Non-owning. */
-    void setWriteObserver(NvWriteObserver *observer)
-    {
-        writeObserver_ = observer;
-    }
-    NvWriteObserver *writeObserver() { return writeObserver_; }
-
     /** @name Host-side access for tooling (no time charge). */
     ///@{
     u8 *raw() { return store_.data(); }
@@ -144,7 +125,8 @@ class NvRegion
     const CostModel &costs_;
     NvStats stats_;
     NvFaultSurface *faults_ = nullptr;
-    NvWriteObserver *writeObserver_ = nullptr;
+    /** NvWrite events; set only by Machine::setEventSink. */
+    EventSink *sink_ = nullptr;
     std::deque<u64> recentLines_;
 };
 

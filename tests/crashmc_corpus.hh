@@ -71,6 +71,17 @@ inline constexpr CrashMcCase kCrashMcCorpus[] = {
      /*hardened=*/true, /*shadow=*/false, /*recovers=*/false,
      "no shadow pages: mid-update metadata store is unrecoverable"},
 
+    // The registry-install window: install used to store magic and
+    // state := Active before the identity fields, so a crash between
+    // them left an Active entry pairing the new page with the
+    // previous occupant's kind/dev/ino/offset. Event 1729 of the
+    // seed-6 ops-12 trace is the checked store right after one
+    // install's magic store. With state := Active stored last the
+    // point recovers.
+    {rio::harness::McWorkloadKind::ShadowFlip, 1729, 6, 12,
+     /*hardened=*/true, /*shadow=*/true, /*recovers=*/true,
+     "install stores identity before state := Active"},
+
     // Journal workload commit-record boundaries: crashing at the
     // first and last disk-flush events of the bounded run must leave
     // a volume the journal replay brings back consistent.

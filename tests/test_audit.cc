@@ -176,20 +176,21 @@ namespace
 {
 
 /** Counts checked stores, optionally only those inside one region. */
-class CountingObserver final : public sim::StoreObserver
+class CountingSink final : public sim::EventSink
 {
   public:
-    CountingObserver(Addr base, Addr end) : base_(base), end_(end) {}
+    CountingSink(Addr base, Addr end) : base_(base), end_(end) {}
 
     u64 total = 0;
     u64 inRegion = 0;
 
     void
-    onCheckedStore(Addr pa, u64 len) override
+    onEvent(const sim::Event &event) override
     {
-        (void)len;
+        if (event.kind != sim::EventKind::BusStore)
+            return;
         ++total;
-        if (pa >= base_ && pa < end_)
+        if (event.addr >= base_ && event.addr < end_)
             ++inRegion;
     }
 
@@ -200,19 +201,19 @@ class CountingObserver final : public sim::StoreObserver
 
 } // namespace
 
-TEST(StoreObserver, ComposesWithStoreAuditAndDetachesClean)
+TEST(EventSink, ComposesWithStoreAuditAndDetachesClean)
 {
-    // The crashmc recording hook and the runtime store audit watch
-    // the same checked-store path and must not disturb each other:
-    // the audit sees every store (and still attributes violations)
-    // while the observer is attached, and detaching the observer
-    // reverts the bus to the plain-pointer fast path with no residue.
+    // The crashmc event sink and the runtime store audit watch the
+    // same checked-store path and must not disturb each other: the
+    // audit sees every store (and still attributes violations) while
+    // the sink is attached, and detaching the sink reverts the bus
+    // to the plain-pointer fast path with no residue.
     Rig rig(os::ProtectionMode::Off);
     const auto &pool =
         rig.machine.mem().region(sim::RegionKind::BufPool);
 
-    CountingObserver observer(pool.base, pool.end());
-    rig.machine.bus().setStoreObserver(&observer);
+    CountingSink observer(pool.base, pool.end());
+    rig.machine.setEventSink(&observer);
     rig.audit->clearViolations();
 
     rig.writeWorkload();
@@ -220,7 +221,7 @@ TEST(StoreObserver, ComposesWithStoreAuditAndDetachesClean)
     EXPECT_GT(observer.inRegion, 0u);
     EXPECT_TRUE(rig.audit->violations().empty());
 
-    // A wild store reaches both: the audit flags it, the observer
+    // A wild store reaches both: the audit flags it, the sink
     // still counts it (it fires post-store, independent of verdict).
     const u64 before = observer.inRegion;
     rig.machine.bus().store8(pool.base, 0xff);
@@ -228,8 +229,8 @@ TEST(StoreObserver, ComposesWithStoreAuditAndDetachesClean)
     EXPECT_EQ(observer.inRegion, before + 1);
 
     // Detach: stores keep flowing, the count freezes.
-    rig.machine.bus().setStoreObserver(nullptr);
-    EXPECT_EQ(rig.machine.bus().storeObserver(), nullptr);
+    rig.machine.setEventSink(nullptr);
+    EXPECT_EQ(rig.machine.eventSink(), nullptr);
     const u64 frozen = observer.total;
     rig.machine.bus().store8(pool.base + 1, 0x00);
     EXPECT_EQ(observer.total, frozen);

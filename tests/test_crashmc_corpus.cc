@@ -49,7 +49,8 @@ caseName(const ::testing::TestParamInfo<tests::CrashMcCase> &info)
         name = "JournalData";
         break;
     }
-    name += "K" + std::to_string(c.eventIndex);
+    name += 'K';
+    name += std::to_string(c.eventIndex);
     name += c.hardened ? "Hardened" : "Trusting";
     if (!c.shadowMetadata)
         name += "NoShadow";

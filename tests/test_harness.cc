@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include "harness/crashcampaign.hh"
 #include "harness/perfrun.hh"
 #include "harness/report.hh"
@@ -237,6 +239,23 @@ TEST(EnvStrict, CampaignConfigRejectsZeroJobs)
     // of silently running the campaign single-threaded (or worse).
     EnvGuard guard("RIO_T1_JOBS", "0");
     EXPECT_THROW(harness::CampaignConfig{}, std::invalid_argument);
+}
+
+TEST(Hermetic, TestsInheritNoRioKnobs)
+{
+    // tests/main.cc scrubs RIO_* before any test runs, so library
+    // configs see their documented defaults whatever the caller's
+    // shell exports (CI runs the suite with two knobs exported to
+    // prove it). RIO_FUZZ_PROFILE only adds output and is kept.
+    for (char **env = environ; *env != nullptr; ++env) {
+        const std::string entry(*env);
+        if (entry.starts_with("RIO_FUZZ_PROFILE="))
+            continue;
+        EXPECT_FALSE(entry.starts_with("RIO_")) << entry;
+    }
+    const harness::CampaignConfig config;
+    EXPECT_EQ(config.postCrashIntensity, 0.0);
+    EXPECT_TRUE(config.hardenedRecovery);
 }
 
 TEST(EnvStrict, CampaignConfigAcceptsUnsetJobs)

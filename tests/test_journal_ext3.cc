@@ -348,7 +348,7 @@ namespace
 {
 
 /** Throws out of replay at the k-th phase event (modeled crash). */
-class AbortProbe final : public os::JournalReplayProbe
+class AbortProbe final : public sim::EventSink
 {
   public:
     struct Abort
@@ -356,7 +356,7 @@ class AbortProbe final : public os::JournalReplayProbe
     };
     explicit AbortProbe(u64 at) : at_(at) {}
     void
-    onReplayPhase(Phase, u64) override
+    onEvent(const sim::Event &) override
     {
         if (count_++ == at_)
             throw Abort{};
@@ -419,7 +419,7 @@ namespace
 {
 
 /** Crashes the machine at the k-th checkpoint step. */
-class CheckpointCrasher final : public os::JournalObserver
+class CheckpointCrasher final : public sim::EventSink
 {
   public:
     CheckpointCrasher(sim::Machine &machine, u64 at)
@@ -427,9 +427,10 @@ class CheckpointCrasher final : public os::JournalObserver
     {
     }
     void
-    onJournalStep(Step step, u64) override
+    onEvent(const sim::Event &event) override
     {
-        if (step == Step::TxCommit)
+        if (event.kind != sim::EventKind::JournalCheckpointWrite &&
+            event.kind != sim::EventKind::JournalCheckpointAdvance)
             return;
         if (count_++ == at_) {
             machine_.crash(sim::CrashCause::KernelPanic,
@@ -461,7 +462,7 @@ TEST(JournalExt3, CrashDuringCheckpointRecoversAtEveryStep)
         auto kernel = std::make_unique<os::Kernel>(machine, config);
         kernel->boot(nullptr, true);
         CheckpointCrasher crasher(machine, crashAt);
-        kernel->journal().setObserver(&crasher);
+        machine.setEventSink(&crasher);
         os::Process proc(1);
         auto &vfs = kernel->vfs();
         int fsynced = 0;
@@ -480,6 +481,7 @@ TEST(JournalExt3, CrashDuringCheckpointRecoversAtEveryStep)
         } catch (const sim::CrashException &) {
             crashed = true;
         }
+        machine.setEventSink(nullptr);
         if (stepsSeen != nullptr)
             *stepsSeen = crasher.seen();
         if (!crashed)

@@ -143,23 +143,24 @@ TEST(NvRegion, RecentLinesAreDistinctAndRetireOnCrash)
 
 TEST(NvRegion, WriteObserverSeesEveryStore)
 {
-    struct Probe final : sim::NvWriteObserver
+    struct Probe final : sim::EventSink
     {
         std::vector<std::pair<u64, u64>> writes;
-        void onNvWrite(u64 offset, u64 len) override
+        void onEvent(const sim::Event &event) override
         {
-            writes.emplace_back(offset, len);
+            if (event.kind == sim::EventKind::NvWrite)
+                writes.emplace_back(event.addr, event.detail);
         }
     };
 
     sim::Machine machine(nvMachineConfig());
     sim::NvRegion &nv = *machine.nv();
     Probe probe;
-    nv.setWriteObserver(&probe);
+    machine.setEventSink(&probe);
     const std::vector<u8> bytes(17, 0x5c);
     nv.write(128, bytes, machine.clock());
     nv.write(4096, bytes, machine.clock());
-    nv.setWriteObserver(nullptr);
+    machine.setEventSink(nullptr);
     nv.write(8192, bytes, machine.clock());
 
     ASSERT_EQ(probe.writes.size(), 2u);

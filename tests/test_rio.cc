@@ -262,10 +262,10 @@ TEST(RioShadow, EntryIsChangingDuringWindowActiveAfter)
 namespace
 {
 
-/** Crashes the machine at the first Commit protocol step — i.e. in
+/** Crashes the machine at the first RioCommit event — i.e. in
  *  endWrite after size/checksum/shadow:=0 are stored but before the
  *  state flips back to Active (the commit window). */
-class CommitCrasher final : public core::RioProtocolObserver
+class CommitCrasher final : public sim::EventSink
 {
   public:
     explicit CommitCrasher(sim::Machine &machine) : machine_(machine)
@@ -275,9 +275,9 @@ class CommitCrasher final : public core::RioProtocolObserver
     bool fired() const { return fired_; }
 
     void
-    onProtocolStep(Step step, Addr) override
+    onEvent(const sim::Event &event) override
     {
-        if (fired_ || step != Step::Commit)
+        if (fired_ || event.kind != sim::EventKind::RioCommit)
             return;
         fired_ = true;
         machine_.crash(sim::CrashCause::KernelPanic,
@@ -311,7 +311,7 @@ TEST(RioShadow, CrashInCommitWindowIsRecoverableFromThePageItself)
     }
 
     CommitCrasher crasher(rig.machine);
-    rig.rio->setProtocolObserver(&crasher);
+    rig.machine.setEventSink(&crasher);
     bool crashed = false;
     try {
         os::BufferCache::WriteWindow window(buf, ref);
@@ -320,7 +320,7 @@ TEST(RioShadow, CrashInCommitWindowIsRecoverableFromThePageItself)
         rig.machine.noteCrash(crash.when());
         crashed = true;
     }
-    rig.rio->setProtocolObserver(nullptr);
+    rig.machine.setEventSink(nullptr);
     ASSERT_TRUE(crashed);
     ASSERT_TRUE(crasher.fired());
 
@@ -354,14 +354,14 @@ TEST(RioShadow, CrashInCommitWindowIsRecoverableFromThePageItself)
             window.store8(8001, 7);
         }
         CommitCrasher crasher2(rig2.machine);
-        rig2.rio->setProtocolObserver(&crasher2);
+        rig2.machine.setEventSink(&crasher2);
         try {
             os::BufferCache::WriteWindow window(buf2, ref2);
             window.store8(8000, 1);
         } catch (const sim::CrashException &crash) {
             rig2.machine.noteCrash(crash.when());
         }
-        rig2.rio->setProtocolObserver(nullptr);
+        rig2.machine.setEventSink(nullptr);
         rig2.rio->deactivate();
         rig2.rio.reset();
         rig2.kernel.reset();

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 
 #include "core/rio.hh"
@@ -617,23 +618,37 @@ struct SweepPoint
     const char *name;
 };
 
-/** Arm @p warm to crash once at the requested recovery point. */
-void
-armCrashProbe(core::WarmReboot &warm, sim::Machine &machine,
-              const SweepPoint &point, bool &fired)
+/** Models a second crash at the first step of one recovery phase
+ *  that @p at accepts (arguments: step, total). */
+class RecoveryCrasher final : public sim::EventSink
 {
-    warm.setProbe([&machine, point, &fired](core::RecoveryPhase phase,
-                                            u64 step, u64 total) {
-        if (fired || phase != point.phase)
+  public:
+    RecoveryCrasher(sim::Machine &machine, core::RecoveryPhase phase,
+                    std::function<bool(u64, u64)> at)
+        : machine_(machine), kind_(core::recoveryEventKind(phase)),
+          at_(std::move(at))
+    {
+    }
+
+    bool fired() const { return fired_; }
+
+    void
+    onEvent(const sim::Event &event) override
+    {
+        if (fired_ || event.kind != kind_ || !at_(event.addr, event.detail))
             return;
-        if (point.boundary ? step != total : step != 0)
-            return;
-        fired = true;
+        fired_ = true;
         throw sim::CrashException(sim::CrashCause::KernelPanic,
                                   "second crash during recovery",
-                                  machine.clock().now());
-    });
-}
+                                  machine_.clock().now());
+    }
+
+  private:
+    sim::Machine &machine_;
+    sim::EventKind kind_;
+    std::function<bool(u64, u64)> at_;
+    bool fired_ = false;
+};
 
 /** The standard three-file workload the sweep recovers. */
 std::vector<std::vector<u8>>
@@ -712,11 +727,15 @@ TEST_P(WarmRebootSweep, SecondCrashConvergesWithoutDoubleRestore)
 
     // Pass 1: crash at the requested point of recovery.
     core::WarmRebootReport pass1;
-    bool fired = false;
+    RecoveryCrasher crasher(rig.machine, point.phase,
+                            [&point](u64 step, u64 total) {
+                                return point.boundary ? step == total
+                                                      : step == 0;
+                            });
     bool crashed = false;
     {
         core::WarmReboot warm(rig.machine);
-        armCrashProbe(warm, rig.machine, point, fired);
+        rig.machine.setEventSink(&crasher);
         try {
             pass1 = recoverOnce(rig, warm);
         } catch (const sim::CrashException &crash) {
@@ -726,8 +745,9 @@ TEST_P(WarmRebootSweep, SecondCrashConvergesWithoutDoubleRestore)
             rig.kernel.reset();
             rig.machine.reset(sim::ResetKind::Warm);
         }
+        rig.machine.setEventSink(nullptr);
     }
-    ASSERT_TRUE(fired) << "probe never reached "
+    ASSERT_TRUE(crasher.fired()) << "sink never reached "
                        << core::recoveryPhaseName(point.phase);
     ASSERT_TRUE(crashed);
 
@@ -845,21 +865,14 @@ TEST(WarmReboot, MidDataCrashRedoesOnlyTheOpenFile)
     // Crash halfway through the data restore: past at least one
     // file boundary, short of the last.
     core::WarmRebootReport pass1;
-    bool fired = false;
+    RecoveryCrasher crasher(rig.machine, core::RecoveryPhase::DataRestore,
+                            [](u64 step, u64 total) {
+                                return step * 2 >= total && step != total;
+                            });
     bool crashed = false;
     {
         core::WarmReboot warm(rig.machine);
-        warm.setProbe([&](core::RecoveryPhase phase, u64 step,
-                          u64 total) {
-            if (fired || phase != core::RecoveryPhase::DataRestore)
-                return;
-            if (step * 2 < total || step == total)
-                return;
-            fired = true;
-            throw sim::CrashException(sim::CrashCause::KernelPanic,
-                                      "second crash mid-file",
-                                      rig.machine.clock().now());
-        });
+        rig.machine.setEventSink(&crasher);
         try {
             pass1 = recoverOnce(rig, warm);
         } catch (const sim::CrashException &crash) {
@@ -869,8 +882,9 @@ TEST(WarmReboot, MidDataCrashRedoesOnlyTheOpenFile)
             rig.kernel.reset();
             rig.machine.reset(sim::ResetKind::Warm);
         }
+        rig.machine.setEventSink(nullptr);
     }
-    ASSERT_TRUE(fired);
+    ASSERT_TRUE(crasher.fired());
     ASSERT_TRUE(crashed);
 
     core::WarmReboot warm2(rig.machine);
