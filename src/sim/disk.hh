@@ -29,6 +29,7 @@
 #include "sim/clock.hh"
 #include "sim/config.hh"
 #include "sim/event.hh"
+#include "support/lazyzero.hh"
 #include "support/rng.hh"
 #include "support/types.hh"
 
@@ -200,7 +201,7 @@ class Disk
     bool clampRange(SectorNo start, u64 &count);
 
     u64 numSectors_;
-    std::vector<u8> store_;
+    support::LazyZeroStore store_;
     const CostModel &costs_;
     support::Rng rng_;
     SectorNo head_ = 0;

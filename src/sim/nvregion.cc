@@ -10,7 +10,7 @@ namespace rio::sim
 {
 
 NvRegion::NvRegion(u64 bytes, const CostModel &costs)
-    : store_(bytes, 0), costs_(costs)
+    : store_(bytes), costs_(costs)
 {
     assert(bytes % kNvLineSize == 0);
 }

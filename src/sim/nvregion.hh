@@ -23,11 +23,11 @@
 
 #include <deque>
 #include <span>
-#include <vector>
 
 #include "sim/clock.hh"
 #include "sim/config.hh"
 #include "sim/event.hh"
+#include "support/lazyzero.hh"
 #include "support/types.hh"
 
 namespace rio::sim
@@ -121,7 +121,7 @@ class NvRegion
     void noteLines(u64 offset, u64 len);
     void checkRange(u64 offset, u64 len, const char *what) const;
 
-    std::vector<u8> store_;
+    support::LazyZeroStore store_;
     const CostModel &costs_;
     NvStats stats_;
     NvFaultSurface *faults_ = nullptr;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sim/config.hh"
+#include "support/lazyzero.hh"
 #include "support/types.hh"
 
 namespace rio::sim
@@ -89,7 +90,7 @@ class PhysMem
     void scribbleLow(u64 n);
 
   private:
-    std::vector<u8> bytes_;
+    support::LazyZeroStore bytes_;
     std::vector<Region> regions_;
     u64 vaPages_ = 0;
 };

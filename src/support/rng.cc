@@ -1,6 +1,8 @@
 #include "support/rng.hh"
 
+#include <bit>
 #include <cassert>
+#include <cstring>
 
 namespace rio::support
 {
@@ -89,10 +91,11 @@ void
 Rng::fill(std::span<u8> out)
 {
     std::size_t i = 0;
-    while (i + 8 <= out.size()) {
-        const u64 word = next();
-        for (int b = 0; b < 8; ++b)
-            out[i++] = static_cast<u8>(word >> (8 * b));
+    for (; i + 8 <= out.size(); i += 8) {
+        u64 word = next();
+        if constexpr (std::endian::native == std::endian::big)
+            word = __builtin_bswap64(word);
+        std::memcpy(out.data() + i, &word, 8);
     }
     if (i < out.size()) {
         u64 word = next();

@@ -4,12 +4,16 @@
  * popularity distribution and the log-linear latency histogram
  * (harness/bench.hh). The benchmark's published percentiles are only
  * as trustworthy as this math, so the bucket mapping and the sample
- * streams are pinned at fixed seeds.
+ * streams are pinned at fixed seeds. support::checksum32 is pinned
+ * here too, against a plain scalar reference and known answers.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "harness/bench.hh"
 #include "support/checksum.hh"
@@ -122,45 +126,133 @@ TEST(ZipfianTest, GoldenSampleStream)
     std::vector<u64> draws;
     for (int i = 0; i < 16; ++i)
         draws.push_back(zipf.sample(rng));
-    // Checksum of the draw stream, stable across platforms.
-    std::vector<u8> bytes;
-    for (u64 d : draws)
-        bytes.push_back(static_cast<u8>(d));
-    const u32 digest =
-        support::checksum32({bytes.data(), bytes.size()});
-    EXPECT_EQ(digest, 3863349583u)
-        << "zipfian sample stream changed; draws[0..3]="
-        << draws[0] << "," << draws[1] << "," << draws[2] << ","
-        << draws[3];
+    const std::vector<u64> golden = {0,  2,  13, 44, 61, 21, 16, 31,
+                                     20, 8,  14, 1,  25, 2,  16, 36};
+    EXPECT_EQ(draws, golden) << "zipfian sample stream changed";
 }
+
+namespace
+{
+
+/** Little-endian word assembled one byte at a time. */
+u64
+referenceWord(std::span<const u8> bytes, std::size_t at, int width)
+{
+    u64 word = 0;
+    for (int b = 0; b < width; ++b)
+        word |= static_cast<u64>(bytes[at + b]) << (8 * b);
+    return word;
+}
+
+u64
+referenceRotl(u64 x, int r)
+{
+    return (x << r) | (x >> (64 - r));
+}
+
+/**
+ * checksum32 written out plainly: byte-assembled words, the four
+ * lanes kept in an array, one word per step.
+ */
+u32
+referenceChecksum(std::span<const u8> bytes)
+{
+    constexpr u64 p1 = 0x9e3779b185ebca87ull;
+    constexpr u64 p2 = 0xc2b2ae3d27d4eb4full;
+    constexpr u64 p3 = 0x165667b19e3779f9ull;
+    constexpr u64 p4 = 0x85ebca77c2b2ae63ull;
+    constexpr u64 p5 = 0x27d4eb2f165667c5ull;
+    auto round = [&](u64 acc, u64 input) {
+        return referenceRotl(acc + input * p2, 31) * p1;
+    };
+    const std::size_t n = bytes.size();
+    std::size_t at = 0;
+    u64 hash = p5;
+    if (n >= 32) {
+        u64 lane[4] = {p1 + p2, p2, 0, 0 - p1};
+        for (; at + 32 <= n; at += 32) {
+            for (int l = 0; l < 4; ++l) {
+                lane[l] =
+                    round(lane[l], referenceWord(bytes, at + 8 * l, 8));
+            }
+        }
+        const int rot[4] = {1, 7, 12, 18};
+        hash = 0;
+        for (int l = 0; l < 4; ++l)
+            hash += referenceRotl(lane[l], rot[l]);
+        for (int l = 0; l < 4; ++l)
+            hash = (hash ^ round(0, lane[l])) * p1 + p4;
+    }
+    hash += n;
+    for (; at + 8 <= n; at += 8) {
+        hash ^= round(0, referenceWord(bytes, at, 8));
+        hash = referenceRotl(hash, 27) * p1 + p4;
+    }
+    if (at + 4 <= n) {
+        hash ^= referenceWord(bytes, at, 4) * p1;
+        hash = referenceRotl(hash, 23) * p2 + p3;
+        at += 4;
+    }
+    for (; at < n; ++at) {
+        hash ^= bytes[at] * p5;
+        hash = referenceRotl(hash, 11) * p1;
+    }
+    hash = (hash ^ (hash >> 33)) * p2;
+    hash = (hash ^ (hash >> 29)) * p3;
+    hash ^= hash >> 32;
+    const u32 folded = static_cast<u32>(hash ^ (hash >> 32));
+    return folded == 0 ? 1u : folded;
+}
+
+u32
+checksumOf(const std::string &text)
+{
+    return support::checksum32(
+        {reinterpret_cast<const u8 *>(text.data()), text.size()});
+}
+
+} // namespace
 
 TEST(ChecksumTest, WordAtATimeMatchesReferenceByteLoop)
 {
-    // The optimized checksum32 must be bit-identical to the original
-    // byte loop for every length (word path + tail).
-    auto reference = [](std::span<const u8> bytes) {
-        u64 hash = 0xcbf29ce484222325ull;
-        u64 pos = 0x9e3779b9ull;
-        for (u8 byte : bytes) {
-            hash ^= byte + pos;
-            hash *= 0x100000001b3ull;
-            pos += 0x9e3779b9ull;
-        }
-        u32 folded = static_cast<u32>(hash ^ (hash >> 32));
-        return folded == 0 ? 1u : folded;
-    };
+    // The striped word loads must agree with the plain byte-at-a-time
+    // reference at every length: each lane, tail word, half-word and
+    // tail byte path, and the page sizes the registry checksums.
     support::Rng rng(123);
-    std::vector<u8> data(4096);
+    std::vector<u8> data(8192);
     rng.fill(data);
-    for (std::size_t len : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 63u,
-                            64u, 100u, 1000u, 4096u}) {
+    std::vector<std::size_t> lengths;
+    for (std::size_t len = 0; len <= 300; ++len)
+        lengths.push_back(len);
+    lengths.push_back(4096);
+    lengths.push_back(8192);
+    for (std::size_t len : lengths) {
         std::span<const u8> view(data.data(), len);
-        EXPECT_EQ(support::checksum32(view), reference(view))
+        EXPECT_EQ(support::checksum32(view), referenceChecksum(view))
             << "len " << len;
+        // An unaligned start takes the same path.
+        if (len < data.size()) {
+            std::span<const u8> shifted(data.data() + 1, len);
+            EXPECT_EQ(support::checksum32(shifted),
+                      referenceChecksum(shifted))
+                << "unaligned len " << len;
+        }
     }
-    // And the historical golden value survives.
-    std::vector<u8> abc = {'a', 'b', 'c'};
-    EXPECT_EQ(support::checksum32({abc.data(), abc.size()}),
-              support::checksum32({abc.data(), abc.size()}));
-    EXPECT_NE(support::checksum32({abc.data(), abc.size()}), 0u);
+}
+
+TEST(ChecksumTest, KnownAnswers)
+{
+    // The first four are published XXH64 (seed 0) values folded to 32
+    // bits as hi ^ lo, e.g. XXH64("abc") = 0x44bc2cf5ad770999.
+    EXPECT_EQ(checksumOf(""), 0xbe9e32aeu);
+    EXPECT_EQ(checksumOf("a"), 0x7bc2aaaau);
+    EXPECT_EQ(checksumOf("abc"), 0xe9cb256cu);
+    EXPECT_EQ(checksumOf("Nobody inspects the spammish repetition"),
+              0x71f923cdu);
+    // Page-sized inputs, pinned from this implementation.
+    std::vector<u8> page(8192, 0);
+    EXPECT_EQ(support::checksum32(page), 0x07118881u);
+    support::Rng rng(7);
+    rng.fill(page);
+    EXPECT_EQ(support::checksum32(page), 0x6a5d8ba1u);
 }

@@ -44,10 +44,13 @@ class FailFirstN final : public DiskFaultSurface
     u32 left_;
 };
 
+/** Disk keeps a reference to its cost model: it must outlive the disk. */
+const CostModel kCosts{};
+
 Disk
 makeDisk(u64 seed = 7)
 {
-    return Disk(1 << 20, CostModel{}, support::Rng(seed));
+    return Disk(1 << 20, kCosts, support::Rng(seed));
 }
 
 } // namespace

@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for rio::support: the deterministic RNG, checksums,
- * Result, and helpers.
+ * the lazily zeroed store, Result, and helpers.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -15,6 +17,7 @@
 
 #include "support/checksum.hh"
 #include "support/errors.hh"
+#include "support/lazyzero.hh"
 #include "support/log.hh"
 #include "support/rng.hh"
 #include "support/types.hh"
@@ -122,6 +125,29 @@ TEST(Rng, FillOddSizes)
     }
 }
 
+TEST(Rng, FillMatchesByteLoop)
+{
+    // fill() stores whole words; the stream must be the byte loop's:
+    // each next() supplies eight bytes, least significant first, and
+    // a short tail takes the low bytes of one more draw.
+    for (std::size_t n = 0; n <= 40; ++n) {
+        Rng fast(37);
+        Rng slow(37);
+        std::vector<u8> got(n, 0);
+        fast.fill(got);
+        std::vector<u8> want;
+        while (want.size() < n) {
+            u64 word = slow.next();
+            for (int b = 0; b < 8 && want.size() < n; ++b) {
+                want.push_back(static_cast<u8>(word));
+                word >>= 8;
+            }
+        }
+        EXPECT_EQ(got, want) << "n " << n;
+        EXPECT_EQ(fast.next(), slow.next()) << "n " << n;
+    }
+}
+
 TEST(Rng, WeightedRespectsZeroWeights)
 {
     Rng rng(37);
@@ -176,6 +202,56 @@ TEST(Checksum, SensitiveToByteSwap)
     EXPECT_NE(support::checksum32(data), before);
 }
 
+TEST(Checksum, SensitiveToABitFlipAtEveryByteOfAPage)
+{
+    std::vector<u8> page(8192);
+    Rng rng(41);
+    rng.fill(page);
+    const u32 before = support::checksum32(page);
+    for (std::size_t i = 0; i < page.size(); ++i) {
+        const u8 bit = static_cast<u8>(1u << (i % 8));
+        page[i] ^= bit;
+        EXPECT_NE(support::checksum32(page), before) << "byte " << i;
+        page[i] ^= bit;
+    }
+    EXPECT_EQ(support::checksum32(page), before);
+}
+
+TEST(Checksum, SensitiveToWordSwap)
+{
+    // Words 0 and 1 of a 32-byte stripe feed different lanes; words 0
+    // and 4 feed the same lane in consecutive stripes.
+    std::vector<u8> data(256);
+    Rng rng(43);
+    rng.fill(data);
+    const u32 before = support::checksum32(data);
+    auto swapped = [&](std::size_t a, std::size_t b) {
+        std::vector<u8> copy = data;
+        std::swap_ranges(copy.begin() + 8 * a, copy.begin() + 8 * a + 8,
+                         copy.begin() + 8 * b);
+        EXPECT_NE(copy, data);
+        return support::checksum32(copy);
+    };
+    EXPECT_NE(swapped(0, 1), before) << "different lanes";
+    EXPECT_NE(swapped(0, 4), before) << "same lane";
+    EXPECT_NE(swapped(2, 30), before) << "same lane, far apart";
+    EXPECT_NE(swapped(31, 28), before) << "last stripe";
+}
+
+TEST(Checksum, SensitiveToLength)
+{
+    // Zero bytes add no content, so only the length tells these apart;
+    // the empty span still has a non-zero sum.
+    for (std::size_t n = 0; n <= 300; ++n) {
+        const std::vector<u8> shorter(n, 0);
+        const std::vector<u8> longer(n + 1, 0);
+        EXPECT_NE(support::checksum32(shorter), 0u) << "n " << n;
+        EXPECT_NE(support::checksum32(shorter),
+                  support::checksum32(longer))
+            << "n " << n;
+    }
+}
+
 TEST(Checksum, DeterministicAcrossCalls)
 {
     std::vector<u8> data(512, 0x5c);
@@ -195,6 +271,25 @@ TEST(Result, ErrorCarriesStatus)
     support::Result<int> err(support::OsStatus::NoEnt);
     EXPECT_FALSE(err.ok());
     EXPECT_EQ(err.status(), support::OsStatus::NoEnt);
+}
+
+TEST(LazyZeroStore, ReadsZeroUntilWrittenAndZeroesAgain)
+{
+    constexpr std::size_t kBytes = 3 * 4096 + 100; // Not page-aligned.
+    support::LazyZeroStore store(kBytes);
+    ASSERT_EQ(store.size(), kBytes);
+    const std::span<const u8> view(store.data(), store.size());
+    EXPECT_TRUE(std::all_of(view.begin(), view.end(),
+                            [](u8 b) { return b == 0; }));
+    store.data()[0] = 1;
+    store.data()[kBytes - 1] = 2;
+    EXPECT_EQ(view[0], 1);
+    EXPECT_EQ(view[kBytes - 1], 2);
+    store.zero();
+    EXPECT_TRUE(std::all_of(view.begin(), view.end(),
+                            [](u8 b) { return b == 0; }));
+    store.data()[5] = 7; // Still writable after zero().
+    EXPECT_EQ(view[5], 7);
 }
 
 TEST(Result, VoidSpecialization)

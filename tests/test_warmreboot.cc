@@ -11,6 +11,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include "core/rio.hh"
 #include "core/warmreboot.hh"
@@ -618,6 +619,12 @@ struct SweepPoint
     const char *name;
 };
 
+void
+PrintTo(const SweepPoint &point, std::ostream *os)
+{
+    *os << point.name;
+}
+
 /** Models a second crash at the first step of one recovery phase
  *  that @p at accepts (arguments: step, total). */
 class RecoveryCrasher final : public sim::EventSink
@@ -687,11 +694,16 @@ expectSweepFilesIntact(CrashRig &rig,
     }
 }
 
-/** Run one full recovery pass (dump + boot + data restore). */
-core::WarmRebootReport
-recoverOnce(CrashRig &rig, core::WarmReboot &warm)
+/**
+ * Run one full recovery pass (dump + boot + data restore) into the
+ * caller's @p report, so the data-restore progress of a pass that a
+ * second crash cuts short is still there to inspect.
+ */
+void
+recoverOnce(CrashRig &rig, core::WarmReboot &warm,
+            core::WarmRebootReport &report)
 {
-    core::WarmRebootReport report = warm.dumpAndRestoreMetadata();
+    report = warm.dumpAndRestoreMetadata();
     core::RioOptions options;
     options.protection = rig.config.protection;
     options.maintainChecksums = true;
@@ -699,18 +711,26 @@ recoverOnce(CrashRig &rig, core::WarmReboot &warm)
     rig.kernel = std::make_unique<os::Kernel>(rig.machine, rig.config);
     rig.kernel->boot(rig.rio.get(), false);
     warm.restoreData(rig.kernel->vfs(), report);
-    return report;
 }
 
-u32
-checkpointFlags(sim::Machine &machine)
+/** The progress record in the last swap sector (all zero if none). */
+struct CheckpointRecord
+{
+    u32 flags = 0;
+    u64 metadataProcessed = 0;
+};
+
+CheckpointRecord
+checkpointRecord(sim::Machine &machine)
 {
     const auto sector = machine.swap().peekSector(
         machine.swap().numSectors() - 1);
     if (support::loadLE<u32>(sector, 0) !=
         core::WarmReboot::kCkptMagic)
-        return 0;
-    return support::loadLE<u32>(sector, 8);
+        return {};
+    // Field offsets of the record layout in core/warmreboot.cc.
+    return {support::loadLE<u32>(sector, 8),
+            support::loadLE<u64>(sector, 40)};
 }
 
 class WarmRebootSweep : public ::testing::TestWithParam<SweepPoint>
@@ -737,7 +757,7 @@ TEST_P(WarmRebootSweep, SecondCrashConvergesWithoutDoubleRestore)
         core::WarmReboot warm(rig.machine);
         rig.machine.setEventSink(&crasher);
         try {
-            pass1 = recoverOnce(rig, warm);
+            recoverOnce(rig, warm, pass1);
         } catch (const sim::CrashException &crash) {
             crashed = true;
             rig.machine.noteCrash(crash.when());
@@ -750,6 +770,7 @@ TEST_P(WarmRebootSweep, SecondCrashConvergesWithoutDoubleRestore)
     ASSERT_TRUE(crasher.fired()) << "sink never reached "
                        << core::recoveryPhaseName(point.phase);
     ASSERT_TRUE(crashed);
+    const CheckpointRecord deadPass = checkpointRecord(rig.machine);
 
     // For the fsync-before-checkpoint oracle: the platter image at
     // the moment the second crash hit.
@@ -769,9 +790,10 @@ TEST_P(WarmRebootSweep, SecondCrashConvergesWithoutDoubleRestore)
 
     // Pass 2: plain recovery, no interference. Must converge.
     core::WarmReboot warm2(rig.machine);
-    const core::WarmRebootReport pass2 = recoverOnce(rig, warm2);
+    core::WarmRebootReport pass2;
+    recoverOnce(rig, warm2, pass2);
     expectSweepFilesIntact(rig, contents);
-    EXPECT_NE(checkpointFlags(rig.machine) &
+    EXPECT_NE(checkpointRecord(rig.machine).flags &
                   core::WarmReboot::kFlagAllDone,
               0u)
         << "second pass did not retire the checkpoint";
@@ -786,9 +808,13 @@ TEST_P(WarmRebootSweep, SecondCrashConvergesWithoutDoubleRestore)
         point.boundary) {
         // Every metadata entry was processed (and checkpointed) by
         // the dead pass: none may be pushed to disk twice.
-        EXPECT_GT(pass1.entriesSeen, 0u);
+        EXPECT_NE(deadPass.flags &
+                      core::WarmReboot::kFlagMetadataComplete,
+                  0u);
+        EXPECT_GT(deadPass.metadataProcessed, 0u);
         EXPECT_EQ(pass2.metadataRestored, 0u);
-        EXPECT_GT(pass2.recovery.metadataSkippedResume, 0u);
+        EXPECT_EQ(pass2.recovery.metadataSkippedResume,
+                  deadPass.metadataProcessed);
         EXPECT_EQ(static_cast<core::RecoveryPhase>(
                       pass2.recovery.resumePhase),
                   core::RecoveryPhase::DataRestore);
@@ -874,7 +900,7 @@ TEST(WarmReboot, MidDataCrashRedoesOnlyTheOpenFile)
         core::WarmReboot warm(rig.machine);
         rig.machine.setEventSink(&crasher);
         try {
-            pass1 = recoverOnce(rig, warm);
+            recoverOnce(rig, warm, pass1);
         } catch (const sim::CrashException &crash) {
             crashed = true;
             rig.machine.noteCrash(crash.when());
@@ -888,7 +914,8 @@ TEST(WarmReboot, MidDataCrashRedoesOnlyTheOpenFile)
     ASSERT_TRUE(crashed);
 
     core::WarmReboot warm2(rig.machine);
-    const core::WarmRebootReport pass2 = recoverOnce(rig, warm2);
+    core::WarmRebootReport pass2;
+    recoverOnce(rig, warm2, pass2);
     expectSweepFilesIntact(rig, contents);
     EXPECT_TRUE(pass2.recovery.resumed);
     // Files fully rebuilt and fsync'd before the crash are skipped;
